@@ -8,11 +8,15 @@ type controller = {
   ctl_eoi : line:int -> unit;
 }
 
+(* A timer is a node of its bucket's circular doubly-linked list, so
+   cancelling unlinks it at once and the wheel lets go of its closure;
+   a timer in no bucket links to itself. *)
 type timer = {
   tm_deadline : int;
   tm_id : int;  (* creation order breaks deadline ties deterministically *)
-  tm_fire : unit -> unit;
-  mutable tm_cancelled : bool;
+  mutable tm_fire : unit -> unit;  (* [ignore] once cancelled *)
+  mutable tm_prev : timer;
+  mutable tm_next : timer;
 }
 
 type request = {
@@ -46,7 +50,8 @@ type source = {
 
 (* The wheel: a bucket per [now mod wheel_size]; deadlines further out
    than one revolution just stay in their bucket until their turn
-   comes round again — each revisit is one comparison. *)
+   comes round again — each revisit is one comparison. A bucket is a
+   sentinel timer heading its list, oldest first. *)
 let wheel_size = 256
 let max_deliveries_per_dispatch = 16
 
@@ -59,12 +64,24 @@ type t = {
   handlers : (int, string * (unit -> unit)) Hashtbl.t;
   queues : (string, queue) Hashtbl.t;
   mutable tickers : (unit -> unit) list;
-  wheel : timer list array;  (* newest first within a bucket *)
+  wheel : timer array;  (* bucket sentinels *)
   mutable clock : int;
   mutable next_timer_id : int;
   mutable next_rid : int;
   mutable int_high : bool;
 }
+
+let unlinked_timer ~deadline ~id fire =
+  let rec tm =
+    {
+      tm_deadline = deadline;
+      tm_id = id;
+      tm_fire = fire;
+      tm_prev = tm;
+      tm_next = tm;
+    }
+  in
+  tm
 
 let create ?trace ?metrics ?profile ctl =
   {
@@ -76,7 +93,9 @@ let create ?trace ?metrics ?profile ctl =
     handlers = Hashtbl.create 8;
     queues = Hashtbl.create 8;
     tickers = [];
-    wheel = Array.make wheel_size [];
+    wheel =
+      Array.init wheel_size (fun _ ->
+          unlinked_timer ~deadline:max_int ~id:(-1) ignore);
     clock = 0;
     next_timer_id = 0;
     next_rid = 1;
@@ -104,33 +123,51 @@ let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 
 let after t ~ticks fire =
   let deadline = t.clock + max 1 ticks in
-  let tm =
-    {
-      tm_deadline = deadline;
-      tm_id = t.next_timer_id;
-      tm_fire = fire;
-      tm_cancelled = false;
-    }
-  in
+  let tm = unlinked_timer ~deadline ~id:t.next_timer_id fire in
   t.next_timer_id <- t.next_timer_id + 1;
-  let bucket = deadline mod wheel_size in
-  t.wheel.(bucket) <- tm :: t.wheel.(bucket);
+  let head = t.wheel.(deadline mod wheel_size) in
+  tm.tm_prev <- head.tm_prev;
+  tm.tm_next <- head;
+  head.tm_prev.tm_next <- tm;
+  head.tm_prev <- tm;
   tm
 
-let cancel tm = tm.tm_cancelled <- true
+let unlink tm =
+  tm.tm_prev.tm_next <- tm.tm_next;
+  tm.tm_next.tm_prev <- tm.tm_prev;
+  tm.tm_prev <- tm;
+  tm.tm_next <- tm
+
+(* Dropping the callback also silences a timer already taken off the
+   wheel as due, when an earlier timer of the same tick cancels it. *)
+let cancel tm =
+  tm.tm_fire <- ignore;
+  unlink tm
+
+(* Unlinks the bucket's due timers; conses only for a due one, so a
+   tick with nothing due allocates nothing. *)
+let rec take_due head clock tm acc =
+  if tm == head then acc
+  else
+    let next = tm.tm_next in
+    if tm.tm_deadline <= clock then begin
+      unlink tm;
+      take_due head clock next (tm :: acc)
+    end
+    else take_due head clock next acc
 
 let run_due_timers t =
-  let bucket = t.clock mod wheel_size in
-  let due, later =
-    List.partition (fun tm -> tm.tm_deadline <= t.clock) t.wheel.(bucket)
-  in
-  t.wheel.(bucket) <- later;
-  List.sort (fun a b ->
-      match compare a.tm_deadline b.tm_deadline with
-      | 0 -> compare a.tm_id b.tm_id
-      | c -> c)
-    due
-  |> List.iter (fun tm -> if not tm.tm_cancelled then tm.tm_fire ())
+  let head = t.wheel.(t.clock mod wheel_size) in
+  match take_due head t.clock head.tm_next [] with
+  | [] -> ()
+  | due ->
+      List.sort
+        (fun a b ->
+          match compare a.tm_deadline b.tm_deadline with
+          | 0 -> compare a.tm_id b.tm_id
+          | c -> c)
+        due
+      |> List.iter (fun tm -> tm.tm_fire ())
 
 (* {1 Queues} *)
 

@@ -103,6 +103,10 @@ val after : t -> ticks:int -> (unit -> unit) -> timer
     dispatch, in (deadline, creation) order. *)
 
 val cancel : timer -> unit
+(** Disarms the timer and unlinks it from the wheel at once, dropping
+    its callback (and all the callback captured). Cancelling a timer
+    that fired or was cancelled does nothing; one cancelled by an
+    earlier timer of the same tick does not fire. *)
 
 val add_ticker : t -> (unit -> unit) -> unit
 (** Registers a per-tick hook — how device models that complete work

@@ -5,7 +5,22 @@
     cost. Single transfers and block-transfer elements are counted
     separately: the performance model charges a per-iteration CPU
     overhead to driver-level loops of single transfers but not to
-    [rep]-style block transfers (paper §2.2, §4.3). *)
+    [rep]-style block transfers (paper §2.2, §4.3).
+
+    An access to an address no device claims raises
+    {!Devil_runtime.Instance.Device_error}, a permanent device fault
+    that {!Devil_runtime.Policy} does not retry — not
+    {!Devil_runtime.Bus.Bus_fault}, the transient "no device can
+    answer" error the policy does retry. A block transfer raises it
+    before its first element; an empty block resolves no address and
+    touches no device. Either way the transfer has been counted in
+    {!stats}.
+
+    Dispatch allocates nothing: the region lookup is a closure-free
+    scan, a block resolves its region once and calls the device model
+    directly per element, and the ["hwsim.bus"] log line (one per
+    single transfer or block element) is built only when that Logs
+    source is at [Debug]. *)
 
 module Bus = Devil_runtime.Bus
 

@@ -11,10 +11,15 @@ let copy_cost_factor = 7  (* copies move 3.5x slower; factor over 2 *)
 
 type cmd = { reg : int; value : int }
 
+(* The framebuffer is a row per scanline, allocated on its first
+   non-zero write: a row never written is [no_row] and reads as 0, so
+   a machine whose driver never draws costs no framebuffer at all. *)
+let no_row : int array = [||]
+
 type t = {
   width : int;
   height : int;
-  fb : int array;
+  rows : int array array;
   mutable depth : int;  (* bits per pixel *)
   mutable clip : int;
   mutable window_base : int;
@@ -37,7 +42,7 @@ let create ?(width = 1024) ?(height = 768) () =
   {
     width;
     height;
-    fb = Array.make (width * height) 0;
+    rows = Array.make height no_row;
     depth = 8;
     clip = 0;
     window_base = 0;
@@ -61,13 +66,24 @@ let ticks t = t.ticks
 let busy_ticks_remaining t = t.busy
 let depth t = t.depth
 
+let get t ~x ~y =
+  let row = t.rows.(y) in
+  if row == no_row then 0 else row.(x)
+
+let set t ~x ~y v =
+  let row = t.rows.(y) in
+  if row != no_row then row.(x) <- v
+  else if v <> 0 then begin
+    let row = Array.make t.width 0 in
+    row.(x) <- v;
+    t.rows.(y) <- row
+  end
+
 let pixel t ~x ~y =
-  if x < 0 || y < 0 || x >= t.width || y >= t.height then 0
-  else t.fb.((y * t.width) + x)
+  if x < 0 || y < 0 || x >= t.width || y >= t.height then 0 else get t ~x ~y
 
 let set_pixel t ~x ~y v =
-  if x >= 0 && y >= 0 && x < t.width && y < t.height then
-    t.fb.((y * t.width) + x) <- v
+  if x >= 0 && y >= 0 && x < t.width && y < t.height then set t ~x ~y v
 
 let signed16 v = Devil_bits.Bitops.sign_extend ~width:16 v
 
@@ -175,13 +191,19 @@ let mmio_write t ~width:_ ~offset ~value =
 
 let fb_read t ~width:_ ~offset:_ =
   tick t read_units;
-  let v = if t.fb_cursor < Array.length t.fb then t.fb.(t.fb_cursor) else 0 in
+  let c = t.fb_cursor in
+  let v =
+    if c < t.width * t.height then get t ~x:(c mod t.width) ~y:(c / t.width)
+    else 0
+  in
   t.fb_cursor <- t.fb_cursor + 1;
   v
 
 let fb_write t ~width:_ ~offset:_ ~value =
   tick t write_units;
-  if t.fb_cursor < Array.length t.fb then t.fb.(t.fb_cursor) <- value;
+  let c = t.fb_cursor in
+  if c < t.width * t.height then
+    set t ~x:(c mod t.width) ~y:(c / t.width) value;
   t.fb_cursor <- t.fb_cursor + 1
 
 let mmio_model t =

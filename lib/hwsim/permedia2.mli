@@ -11,6 +11,8 @@
     position (w), 3 rectangle size (w), 4 copy offset (w), 5 render
     command (w), 6 pixel depth (w), 7 engine status (r). A second
     port exposes a linear framebuffer aperture for software rendering.
+    The framebuffer allocates each scanline on its first non-zero
+    write; a pixel never written reads 0.
 
     Writes issued while the FIFO is full are dropped and counted in
     {!overflows} — a correct driver never lets that happen. *)

@@ -4,6 +4,12 @@ module Io_space = Hwsim.Io_space
 
 let case name f = Alcotest.test_case name `Quick f
 
+let qcount default =
+  match Sys.getenv_opt "DEVIL_QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
+  | None -> default
+
 (* {1 I/O space} *)
 
 let test_io_space_dispatch () =
@@ -34,6 +40,153 @@ let test_io_space_blocks () =
   Alcotest.(check int) "block items" 5 stats.Io_space.block_items;
   Alcotest.(check int) "io ops" 5 (Io_space.io_ops space);
   Alcotest.(check int) "singles" 0 (Io_space.single_ops space)
+
+(* A model that records every call, to see which transfers reach it. *)
+let recording_model () =
+  let calls = ref [] in
+  let model =
+    {
+      Hwsim.Model.name = "rec";
+      read =
+        (fun ~width:_ ~offset ->
+          calls := Printf.sprintf "R%d" offset :: !calls;
+          List.length !calls);
+      write =
+        (fun ~width:_ ~offset ~value ->
+          calls := Printf.sprintf "W%d=%d" offset value :: !calls);
+    }
+  in
+  (model, calls)
+
+let device_error f =
+  match f () with
+  | exception Devil_runtime.Instance.Device_error m -> m
+  | _ -> Alcotest.fail "no Device_error raised"
+
+let counts space =
+  let s = Io_space.stats space in
+  Io_space.[ s.reads; s.writes; s.block_ops; s.block_items ]
+
+(* An unmapped address is the same permanent device error whether a
+   single transfer or a block transfer reaches it; the block is still
+   counted, as a single transfer is. *)
+let test_io_space_unmapped_block () =
+  let space = Io_space.create () in
+  let model, calls = recording_model () in
+  Io_space.attach space ~base:0x100 ~size:2 model;
+  let bus = Io_space.bus space in
+  let single = device_error (fun () -> bus.Devil_runtime.Bus.read ~width:16 ~addr:0x300) in
+  Alcotest.(check string) "single read" "bus fault: no device at address 0x300" single;
+  Alcotest.(check string) "single write" single
+    (device_error (fun () ->
+         bus.Devil_runtime.Bus.write ~width:16 ~addr:0x300 ~value:1));
+  Alcotest.(check string) "read block" single
+    (device_error (fun () ->
+         bus.Devil_runtime.Bus.read_block ~width:16 ~addr:0x300
+           ~into:(Array.make 3 0)));
+  Alcotest.(check string) "write block" single
+    (device_error (fun () ->
+         bus.Devil_runtime.Bus.write_block ~width:16 ~addr:0x300 ~from:[| 1; 2 |]));
+  Alcotest.(check (list int)) "all four counted" [ 1; 1; 2; 5 ] (counts space);
+  Alcotest.(check (list string)) "no model touched" [] !calls
+
+(* An empty block resolves no region: it touches no model, even at an
+   unmapped address, and counts one block op of no items. *)
+let test_io_space_empty_block () =
+  let space = Io_space.create () in
+  let model, calls = recording_model () in
+  Io_space.attach space ~base:0x100 ~size:2 model;
+  let bus = Io_space.bus space in
+  List.iter
+    (fun addr ->
+      bus.Devil_runtime.Bus.read_block ~width:8 ~addr ~into:[||];
+      bus.Devil_runtime.Bus.write_block ~width:8 ~addr ~from:[||])
+    [ 0x100; 0x300 ];
+  Alcotest.(check (list int)) "block ops only" [ 0; 0; 4; 0 ] (counts space);
+  Alcotest.(check (list string)) "no model touched" [] !calls;
+  let into = Array.make 3 0 in
+  bus.Devil_runtime.Bus.read_block ~width:8 ~addr:0x101 ~into;
+  bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0x101 ~from:[| 7; 8 |];
+  Alcotest.(check (list string)) "one model call per element, in order"
+    [ "R1"; "R1"; "R1"; "W1=7"; "W1=8" ] (List.rev !calls);
+  Alcotest.(check (list int)) "elements read in order" [ 1; 2; 3 ]
+    (Array.to_list into)
+
+(* Below Debug, dispatch allocates nothing per transfer or element. *)
+let test_io_space_allocation_free () =
+  let space = Io_space.create () in
+  Io_space.attach space ~base:0x100 ~size:4 (Hwsim.Model.ram ~name:"a" ~size:4);
+  Io_space.attach space ~base:0x200 ~size:4 (Hwsim.Model.ram ~name:"b" ~size:4);
+  let bus = Io_space.bus space in
+  let block = Array.make 64 0 in
+  let a0 = Gc.allocated_bytes () in
+  for i = 1 to 10_000 do
+    bus.Devil_runtime.Bus.write ~width:8 ~addr:0x203 ~value:i;
+    ignore (bus.Devil_runtime.Bus.read ~width:8 ~addr:0x203);
+    bus.Devil_runtime.Bus.read_block ~width:8 ~addr:0x201 ~into:block;
+    bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0x201 ~from:block
+  done;
+  let a1 = Gc.allocated_bytes () in
+  (* allocated_bytes itself boxes its float results; allow that. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no per-transfer allocation (%.0f bytes for 10k rounds)"
+       (a1 -. a0))
+    true
+    (a1 -. a0 < 512.0)
+
+(* With hwsim.bus at Debug, every single transfer and every block
+   element logs exactly one line: the level check in front of the log
+   call must not lose any. *)
+let test_io_space_debug_log () =
+  let src =
+    List.find (fun s -> Logs.Src.name s = "hwsim.bus") (Logs.Src.list ())
+  in
+  let lines = ref [] in
+  let capture =
+    {
+      Logs.report =
+        (fun s _level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun line ->
+                  if s == src then lines := line :: !lines;
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let saved_reporter = Logs.reporter () and saved_level = Logs.Src.level src in
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter saved_reporter;
+      Logs.Src.set_level src saved_level)
+    (fun () ->
+      Logs.set_reporter capture;
+      let space = Io_space.create () in
+      Io_space.attach space ~base:0x10 ~size:1 (Hwsim.Model.ram ~name:"r" ~size:1);
+      let bus = Io_space.bus space in
+      let traffic () =
+        bus.Devil_runtime.Bus.write ~width:8 ~addr:0x10 ~value:5;
+        ignore (bus.Devil_runtime.Bus.read ~width:8 ~addr:0x10);
+        bus.Devil_runtime.Bus.write_block ~width:8 ~addr:0x10 ~from:[| 1; 2; 3 |];
+        bus.Devil_runtime.Bus.read_block ~width:8 ~addr:0x10 ~into:(Array.make 2 0)
+      in
+      Logs.Src.set_level src (Some Logs.Info);
+      traffic ();
+      Alcotest.(check int) "silent below Debug" 0 (List.length !lines);
+      Logs.Src.set_level src (Some Logs.Debug);
+      traffic ();
+      Alcotest.(check (list string)) "one line per transfer and element"
+        [
+          "r: W8 [0x10] <- 0x5";
+          "r: R8 [0x10] -> 0x5";
+          "r: W8 [0x10] <- 0x1";
+          "r: W8 [0x10] <- 0x2";
+          "r: W8 [0x10] <- 0x3";
+          "r: R8 [0x10] -> 0x3";
+          "r: R8 [0x10] -> 0x3";
+        ]
+        (List.rev !lines))
 
 (* {1 Busmouse} *)
 
@@ -401,6 +554,164 @@ let test_permedia_fifo () =
   Alcotest.(check bool) "fifo filled" true (rd 0 < free_before);
   Alcotest.(check bool) "overflow recorded" true (Hwsim.Permedia2.overflows g > 0)
 
+(* The framebuffer allocates a row on its first write. A flat array
+   with the engine's documented fill/copy semantics is the reference:
+   random fills, copies (both signs of dx/dy, overlapping rectangles)
+   and aperture cursor reads/writes (past the end included) must agree
+   pixel for pixel and on every value read back. *)
+type fb_op =
+  | Fill of { x : int; y : int; w : int; h : int; colour : int }
+  | Copy of { x : int; y : int; w : int; h : int; dx : int; dy : int }
+  | Aperture_write of { x : int; y : int; values : int list }
+  | Aperture_read of { x : int; y : int; count : int }
+
+let fb_w = 13
+let fb_h = 9
+
+let pp_fb_op = function
+  | Fill { x; y; w; h; colour } ->
+      Printf.sprintf "fill (%d,%d) %dx%d = %d" x y w h colour
+  | Copy { x; y; w; h; dx; dy } ->
+      Printf.sprintf "copy (%d,%d) %dx%d by (%d,%d)" x y w h dx dy
+  | Aperture_write { x; y; values } ->
+      Printf.sprintf "write (%d,%d) [%s]" x y
+        (String.concat ";" (List.map string_of_int values))
+  | Aperture_read { x; y; count } -> Printf.sprintf "read (%d,%d) %d" x y count
+
+let fb_op_gen =
+  QCheck.Gen.(
+    let x = int_bound (fb_w + 3) and y = int_bound (fb_h + 3) in
+    let w = int_bound fb_w and h = int_bound fb_h and d = int_range (-5) 5 in
+    frequency
+      [
+        ( 3,
+          map
+            (fun ((x, y), (w, h), colour) -> Fill { x; y; w; h; colour })
+            (triple (pair x y) (pair w h) (int_bound 3)) );
+        ( 3,
+          map
+            (fun ((x, y), (w, h), (dx, dy)) -> Copy { x; y; w; h; dx; dy })
+            (triple (pair x y) (pair w h) (pair d d)) );
+        ( 2,
+          map
+            (fun ((x, y), values) -> Aperture_write { x; y; values })
+            (pair (pair x y) (list_size (int_bound (2 * fb_w)) (int_bound 255)))
+        );
+        ( 2,
+          map
+            (fun ((x, y), count) -> Aperture_read { x; y; count })
+            (pair (pair x y) (int_bound (2 * fb_w))) );
+      ])
+
+(* The reference framebuffer. *)
+let flat_apply fb reads = function
+  | Fill { x; y; w; h; colour } ->
+      for py = y to y + h - 1 do
+        for px = x to x + w - 1 do
+          if px < fb_w && py < fb_h then fb.((py * fb_w) + px) <- colour
+        done
+      done
+  | Copy { x; y; w; h; dx; dy } ->
+      let get px py =
+        if px < 0 || py < 0 || px >= fb_w || py >= fb_h then 0
+        else fb.((py * fb_w) + px)
+      in
+      let row py px =
+        if px < fb_w && py < fb_h then
+          fb.((py * fb_w) + px) <- get (px - dx) (py - dy)
+      in
+      let cols py =
+        if dx > 0 then for px = x + w - 1 downto x do row py px done
+        else for px = x to x + w - 1 do row py px done
+      in
+      if dy > 0 then for py = y + h - 1 downto y do cols py done
+      else for py = y to y + h - 1 do cols py done
+  | Aperture_write { x; y; values } ->
+      List.iteri
+        (fun i v ->
+          let c = (y * fb_w) + x + i in
+          if c < fb_w * fb_h then fb.(c) <- v)
+        values
+  | Aperture_read { x; y; count } ->
+      for i = 0 to count - 1 do
+        let c = (y * fb_w) + x + i in
+        reads := (if c < fb_w * fb_h then fb.(c) else 0) :: !reads
+      done
+
+(* The same operation driven through the engine's registers and the
+   aperture, draining the engine after each command. *)
+let engine_apply g reads op =
+  let m = Hwsim.Permedia2.mmio_model g and ap = Hwsim.Permedia2.fb_model g in
+  let wr off v = m.Hwsim.Model.write ~width:32 ~offset:off ~value:v in
+  let drain () = while m.Hwsim.Model.read ~width:32 ~offset:7 <> 0 do () done in
+  let at x y = wr 2 (x lor (y lsl 16)) in
+  let rect x y w h =
+    at x y;
+    wr 3 (w lor (h lsl 16))
+  in
+  (match op with
+  | Fill { x; y; w; h; colour } ->
+      rect x y w h;
+      wr 1 colour;
+      wr 5 1
+  | Copy { x; y; w; h; dx; dy } ->
+      rect x y w h;
+      wr 4 ((dx land 0xffff) lor ((dy land 0xffff) lsl 16));
+      wr 5 2
+  | Aperture_write { x; y; values } ->
+      at x y;
+      drain ();
+      List.iter (fun v -> ap.Hwsim.Model.write ~width:32 ~offset:0 ~value:v) values
+  | Aperture_read { x; y; count } ->
+      at x y;
+      drain ();
+      for _ = 1 to count do
+        reads := ap.Hwsim.Model.read ~width:32 ~offset:0 :: !reads
+      done);
+  drain ()
+
+let permedia_matches_flat_reference =
+  QCheck.Test.make ~count:(qcount 200)
+    ~name:"row-lazy framebuffer matches a flat-array reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_fb_op ops))
+       QCheck.Gen.(list_size (int_bound 25) fb_op_gen))
+    (fun ops ->
+      let g = Hwsim.Permedia2.create ~width:fb_w ~height:fb_h () in
+      let flat = Array.make (fb_w * fb_h) 0 in
+      let engine_reads = ref [] and flat_reads = ref [] in
+      List.iter
+        (fun op ->
+          engine_apply g engine_reads op;
+          flat_apply flat flat_reads op)
+        ops;
+      let pixels_agree = ref true in
+      for y = -2 to fb_h + 2 do
+        for x = -2 to fb_w + 2 do
+          let expected =
+            if x < 0 || y < 0 || x >= fb_w || y >= fb_h then 0
+            else flat.((y * fb_w) + x)
+          in
+          if Hwsim.Permedia2.pixel g ~x ~y <> expected then pixels_agree := false
+        done
+      done;
+      !pixels_agree && !engine_reads = !flat_reads
+      && Hwsim.Permedia2.overflows g = 0)
+
+let test_permedia_untouched_reads_zero () =
+  let g = Hwsim.Permedia2.create () in
+  let ap = Hwsim.Permedia2.fb_model g in
+  Alcotest.(check int) "untouched pixel" 0 (Hwsim.Permedia2.pixel g ~x:1023 ~y:767);
+  Alcotest.(check int) "out of range" 0 (Hwsim.Permedia2.pixel g ~x:1024 ~y:0);
+  Alcotest.(check int) "negative" 0 (Hwsim.Permedia2.pixel g ~x:(-1) ~y:3);
+  Alcotest.(check int) "untouched aperture" 0 (ap.Hwsim.Model.read ~width:32 ~offset:0);
+  Hwsim.Permedia2.set_pixel g ~x:1024 ~y:0 9;
+  Hwsim.Permedia2.set_pixel g ~x:0 ~y:768 9;
+  Alcotest.(check int) "out-of-range write dropped" 0 (Hwsim.Permedia2.pixel g ~x:0 ~y:1);
+  Hwsim.Permedia2.set_pixel g ~x:1023 ~y:767 9;
+  Alcotest.(check int) "last pixel" 9 (Hwsim.Permedia2.pixel g ~x:1023 ~y:767);
+  Alcotest.(check int) "its row neighbour" 0 (Hwsim.Permedia2.pixel g ~x:1022 ~y:767)
+
 let () =
   Alcotest.run "hwsim"
     [
@@ -408,6 +719,11 @@ let () =
         [
           case "dispatch and faults" test_io_space_dispatch;
           case "block accounting" test_io_space_blocks;
+          case "unmapped block is the single-transfer error"
+            test_io_space_unmapped_block;
+          case "empty block touches no model" test_io_space_empty_block;
+          case "dispatch allocates nothing" test_io_space_allocation_free;
+          case "Debug logs every transfer and element" test_io_space_debug_log;
         ] );
       ( "busmouse",
         [
@@ -451,5 +767,8 @@ let () =
         [
           case "fill and copy" test_permedia_fill_copy;
           case "fifo and overflow" test_permedia_fifo;
+          case "untouched and out-of-range pixels read 0"
+            test_permedia_untouched_reads_zero;
+          QCheck_alcotest.to_alcotest permedia_matches_flat_reference;
         ] );
     ]

@@ -190,6 +190,88 @@ let test_timer_across_wrap_boundary () =
   Sched.tick t;
   Alcotest.(check bool) "fires just past the wrap (clock 257)" true !fired
 
+(* A firing timer that cancels another timer due on the same tick
+   stops it from firing and leaves the (deadline, creation) order of
+   the rest unchanged. *)
+let test_timer_cancelled_by_same_tick_timer () =
+  let t, _ = quiet_sched () in
+  let log = ref [] in
+  let push x = log := x :: !log in
+  let victim = ref None in
+  let _early = Sched.after t ~ticks:1 (fun () -> push "early") in
+  let _a =
+    Sched.after t ~ticks:2 (fun () ->
+        push "a";
+        Option.iter Sched.cancel !victim)
+  in
+  let _b = Sched.after t ~ticks:2 (fun () -> push "b") in
+  victim := Some (Sched.after t ~ticks:2 (fun () -> push "victim"));
+  let _c = Sched.after t ~ticks:2 (fun () -> push "c") in
+  Sched.tick t;
+  Sched.tick t;
+  Alcotest.(check (list string)) "cancelled on its tick, order kept"
+    [ "early"; "a"; "b"; "c" ] (List.rev !log);
+  for _ = 1 to 512 do
+    Sched.tick t
+  done;
+  Alcotest.(check (list string)) "never fires later" [ "early"; "a"; "b"; "c" ]
+    (List.rev !log)
+
+(* A tick whose bucket holds timers none of which is due allocates
+   no more than a tick over an empty wheel. *)
+let test_idle_ticks_do_not_allocate_for_armed_timers () =
+  let t, _ = quiet_sched () in
+  let ticks_bytes () =
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to 256 do
+      Sched.tick t
+    done;
+    Gc.allocated_bytes () -. a0
+  in
+  let bare = ticks_bytes () in
+  for i = 1 to 2560 do
+    ignore (Sched.after t ~ticks:(1_000_000 + i) ignore)
+  done;
+  let armed = ticks_bytes () in
+  (* allocated_bytes itself boxes its float results; allow that. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "one revolution over 2560 armed timers: %.0f bytes (%.0f bare)"
+       armed bare)
+    true
+    (armed -. bare < 512.0)
+
+(* A completed request cancels its timeout timer, and cancelling
+   unlinks the timer from the wheel: nothing the request captured
+   (buffers, frames, on_done) may stay reachable until the default
+   deadline, a million ticks away. *)
+let completed_cycles t payloads =
+  for i = 0 to Weak.length payloads - 1 do
+    let payload = Bytes.make 64 (Char.chr (i land 0xff)) in
+    Weak.set payloads i (Some payload);
+    let _rq =
+      Sched.submit t ~dev:"d" ~label:"op"
+        ~start:(fun () -> ())
+        ~on_done:(fun _ -> ignore (Bytes.length payload))
+        ()
+    in
+    Sched.complete t ~dev:"d" (Ok ());
+    Sched.tick t
+  done
+
+let test_completed_requests_are_freed () =
+  let t, metrics = quiet_sched () in
+  let payloads = Weak.create 1000 in
+  completed_cycles t payloads;
+  Alcotest.(check int) "all completed" 1000
+    (Metrics.count metrics "sched.completions");
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to Weak.length payloads - 1 do
+    if Weak.check payloads i then Stdlib.incr live
+  done;
+  Alcotest.(check int) "payloads still reachable" 0 !live;
+  Alcotest.(check int) "no queue leak" 0 (Sched.outstanding t)
+
 (* {1 Dispatch: toy interrupt delivery and the storm bound} *)
 
 let test_dispatch_delivers_and_completes () =
@@ -716,6 +798,12 @@ let () =
           case "shared bucket, one revolution apart"
             test_timer_shared_bucket_one_revolution_apart;
           case "armed across the 256-boundary" test_timer_across_wrap_boundary;
+          case "cancelled by a timer firing on the same tick"
+            test_timer_cancelled_by_same_tick_timer;
+          case "completed requests are freed at once"
+            test_completed_requests_are_freed;
+          case "idle ticks allocate nothing for armed timers"
+            test_idle_ticks_do_not_allocate_for_armed_timers;
         ] );
       ( "dispatch",
         [

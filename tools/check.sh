@@ -166,6 +166,13 @@ if [ -f BENCH_telemetry.json ]; then
   dune exec tools/benchcheck/benchcheck.exe -- telemetry BENCH_telemetry.json
 fi
 
+# Benchmark determinism gate: two traced runs of every perfbench
+# workload must verify every op and agree exactly on the I/O counts
+# (hwsim.*_per_op), the modeled device time (perfmodel.sim_us_per_op),
+# the allocation and GC word counts and the fault-campaign tallies.
+echo "== benchmark determinism gate =="
+python3 perfbench/selftest.py
+
 if command -v ocamlformat >/dev/null 2>&1 && [ -f .ocamlformat ]; then
   echo "== ocamlformat check =="
   dune build @fmt
